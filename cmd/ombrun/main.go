@@ -192,14 +192,17 @@ func main() {
 	wall := time.Since(start)
 
 	// Wall-clock is real (non-deterministic) time, so it goes to stderr:
-	// stdout stays byte-identical across same-seed runs.
+	// stdout stays byte-identical across same-seed runs. So does the
+	// decode-memo hit count, which depends on which receiver decodes a
+	// relayed payload first.
 	var host core.HostStats
 	for r := 0; r < w.Size(); r++ {
 		host.Add(w.Rank(r).Engine.HostSnapshot())
 	}
-	fmt.Fprintf(os.Stderr, "# wall-clock: run=%v codec=%v (%d batches across %d workers)\n",
-		wall.Round(time.Microsecond), host.CodecWall.Round(time.Microsecond),
-		host.CodecRuns, w.Rank(0).Engine.CodecWorkers())
+	fmt.Fprintf(os.Stderr, "# wall-clock: run=%v codec-busy=%v (%d batches across %d workers) queue-wait=%v (summed over ranks) decode-memo-hits=%d\n",
+		wall.Round(time.Microsecond), host.CodecBusy.Round(time.Microsecond),
+		host.CodecRuns, w.Rank(0).Engine.CodecWorkers(),
+		host.CodecWait.Round(time.Microsecond), host.DecodeMemoHits)
 
 	if w.FaultsEnabled() {
 		st := w.FaultStats()

@@ -32,20 +32,36 @@ type EngineFlags struct {
 	Credits *int
 }
 
-// AddEngineFlags registers -mode/-codec/-rate/-mpcdim/-dynamic/-workers
-// on fs. (The compression codec flag used to be called -algo; it was
-// renamed so -algo could name the collective algorithm pin.)
+// AddEngineFlags registers -mode/-codec/-rate/-mpcdim/-dynamic/-workers/
+// -chunk/-cache/-credits on fs. (The compression codec flag used to be
+// called -algo; it was renamed so -algo could name the collective
+// algorithm pin.)
 func AddEngineFlags(fs *flag.FlagSet) *EngineFlags {
+	return AddEngineFlagsRenamed(fs, nil)
+}
+
+// AddEngineFlagsRenamed is AddEngineFlags with some engine flags
+// registered under other names, for drivers whose own flags already use
+// them: rename maps an engine flag's name to its name in fs (daskbench
+// keeps -chunk for the Dask chunk edge and takes the pipelined chunk size
+// as -pipe-chunk).
+func AddEngineFlagsRenamed(fs *flag.FlagSet, rename map[string]string) *EngineFlags {
+	name := func(n string) string {
+		if r := rename[n]; r != "" {
+			return r
+		}
+		return n
+	}
 	return &EngineFlags{
-		Mode:    fs.String("mode", "opt", "compression integration: off | naive | opt"),
-		Codec:   fs.String("codec", "none", "compression codec: none | mpc | zfp"),
-		Rate:    fs.Int("rate", 16, "ZFP fixed rate in bits/value (4, 8, 16, ...)"),
-		Dim:     fs.Int("mpcdim", 1, "MPC dimensionality"),
-		Dynamic: fs.Bool("dynamic", false, "enable cost-model-driven per-message selection"),
-		Workers: fs.Int("workers", 0, "host codec worker pool size (0 = GOMAXPROCS, 1 = serial; cannot affect results)"),
-		Chunk:   fs.String("chunk", "", "pipelined-rendezvous chunk size, e.g. 256K (empty = off)"),
-		Cache:   fs.Int("cache", 0, "compress-once cache entries per engine (0 = default, negative = off)"),
-		Credits: fs.Int("credits", 0, "pipeline credit window: max chunks in flight (0 = default, negative = unlimited)"),
+		Mode:    fs.String(name("mode"), "opt", "compression integration: off | naive | opt"),
+		Codec:   fs.String(name("codec"), "none", "compression codec: none | mpc | zfp"),
+		Rate:    fs.Int(name("rate"), 16, "ZFP fixed rate in bits/value (4, 8, 16, ...)"),
+		Dim:     fs.Int(name("mpcdim"), 1, "MPC dimensionality"),
+		Dynamic: fs.Bool(name("dynamic"), false, "enable cost-model-driven per-message selection"),
+		Workers: fs.Int(name("workers"), 0, "host codec worker pool size (0 = GOMAXPROCS, 1 = serial; cannot affect results)"),
+		Chunk:   fs.String(name("chunk"), "", "pipelined-rendezvous chunk size, e.g. 256K (empty = off)"),
+		Cache:   fs.Int(name("cache"), 0, "compress-once cache entries per engine (0 = default, negative = off)"),
+		Credits: fs.Int(name("credits"), 0, "pipeline credit window: max chunks in flight (0 = default, negative = unlimited)"),
 	}
 }
 

@@ -44,6 +44,22 @@ func TestEngineFlagsParsing(t *testing.T) {
 	}
 }
 
+func TestEngineFlagsRenamed(t *testing.T) {
+	fs := flag.NewFlagSet("x", flag.ContinueOnError)
+	edge := fs.Int("chunk", 0, "a driver's own -chunk")
+	ef := AddEngineFlagsRenamed(fs, map[string]string{"chunk": "pipe-chunk"})
+	if err := fs.Parse([]string{"-chunk", "64", "-pipe-chunk", "128K", "-workers", "2"}); err != nil {
+		t.Fatal(err)
+	}
+	cfg, err := ef.Config()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if *edge != 64 || cfg.PipelineChunkBytes != 128<<10 || cfg.Workers != 2 {
+		t.Fatalf("parsed wrong: edge=%d cfg=%+v", *edge, cfg)
+	}
+}
+
 func TestEngineFlagsRejectsUnknown(t *testing.T) {
 	for _, args := range [][]string{
 		{"-mode", "bogus"},

@@ -26,12 +26,18 @@
 //   - Run performs no heap allocations, so steady-state compression over
 //     a warmed pool allocates nothing.
 //   - Jobs must not call back into the pool (Run does not nest).
+//
+// Run also reports the host time a batch cost (Timing): each worker's
+// time spent executing parts, and the submitter's wait for the pool.
+// These are host-only accounting figures; they never reach simulated
+// time.
 package codecpool
 
 import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+	"time"
 )
 
 // Scratch is one worker's reusable arena. Buffers grow to the high-water
@@ -102,8 +108,21 @@ type Pool struct {
 	cur    Job
 	n      int32
 	next   atomic.Int32
+	busy   atomic.Int64 // this batch's worker busy time, ns
 	wg     sync.WaitGroup
 	inline Scratch // used when a batch runs on the caller's goroutine
+}
+
+// Timing is the host wall-clock cost of one Run.
+type Timing struct {
+	// Busy is the time spent executing the batch's parts, summed over the
+	// workers that ran them (the caller, for inline batches). Batches run
+	// one at a time, so the total over any span never exceeds that span's
+	// wall-clock times Workers().
+	Busy time.Duration
+	// Wait is the time the submitter queued behind other batches before
+	// its own started.
+	Wait time.Duration
 }
 
 // New creates a pool with the given number of workers; workers <= 0
@@ -162,11 +181,13 @@ func Sized(workers int) *Pool {
 // Workers reports the pool size.
 func (p *Pool) Workers() int { return len(p.scratches) }
 
+//simlint:wallclock Timing.Busy measures real worker time; it never feeds simulated time
 func (p *Pool) worker(s *Scratch) {
 	for range p.wake {
 		// cur and n are stable for the whole batch: they were stored
 		// before the wake-up send (channel happens-before) and are not
 		// touched again until after wg.Wait returns.
+		start := time.Now()
 		job, n := p.cur, p.n
 		for {
 			i := p.next.Add(1) - 1
@@ -175,29 +196,37 @@ func (p *Pool) worker(s *Scratch) {
 			}
 			job.RunPart(int(i), s)
 		}
+		p.busy.Add(int64(time.Since(start)))
 		p.wg.Done()
 	}
 }
 
 // Run executes job's n parts across the workers and returns when all have
-// finished. Batches of one part, and every batch on a one-worker pool,
-// run inline on the caller's goroutine (no handoff latency). Run must not
-// be called from within a RunPart.
-func (p *Pool) Run(n int, job Job) {
+// finished, with the batch's host timing. Batches of one part, and every
+// batch on a one-worker pool, run inline on the caller's goroutine (no
+// handoff latency). Run must not be called from within a RunPart.
+//
+//simlint:wallclock Timing measures real host time; it never feeds simulated time
+func (p *Pool) Run(n int, job Job) Timing {
 	if n <= 0 {
-		return
+		return Timing{}
 	}
+	queued := time.Now()
 	p.runMu.Lock()
 	defer p.runMu.Unlock()
+	start := time.Now()
+	t := Timing{Wait: start.Sub(queued)}
 	if n == 1 || len(p.scratches) == 1 {
 		for i := 0; i < n; i++ {
 			job.RunPart(i, &p.inline)
 		}
-		return
+		t.Busy = time.Since(start)
+		return t
 	}
 	p.cur = job
 	p.n = int32(n)
 	p.next.Store(0)
+	p.busy.Store(0)
 	k := len(p.scratches)
 	if n < k {
 		k = n
@@ -208,4 +237,6 @@ func (p *Pool) Run(n int, job Job) {
 	}
 	p.wg.Wait()
 	p.cur = nil
+	t.Busy = time.Duration(p.busy.Load())
+	return t
 }

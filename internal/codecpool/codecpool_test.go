@@ -4,6 +4,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // countJob records which parts ran and how often.
@@ -148,6 +149,54 @@ func TestJobFunc(t *testing.T) {
 	for i := range hits {
 		if hits[i].Load() != 1 {
 			t.Fatalf("part %d ran %d times", i, hits[i].Load())
+		}
+	}
+}
+
+// spinJob burns a little CPU per part so batches have measurable busy time.
+type spinJob struct{ sink []uint64 }
+
+func (j *spinJob) RunPart(i int, s *Scratch) {
+	v := uint64(i)
+	for k := 0; k < 20000; k++ {
+		v = v*6364136223846793005 + 1442695040888963407
+	}
+	j.sink[i] = v
+}
+
+// TestRunTiming: Run reports worker busy time and queue wait. Busy is
+// positive for real work and, because batches run one at a time, never
+// exceeds the span's wall-clock times the pool size, even with several
+// submitters queueing concurrently.
+func TestRunTiming(t *testing.T) {
+	for _, workers := range []int{1, 2, 4} {
+		p := New(workers)
+		const submitters, batches, parts = 4, 5, 16
+		var busy, wait atomic.Int64
+		var wg sync.WaitGroup
+		start := time.Now()
+		for g := 0; g < submitters; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				j := &spinJob{sink: make([]uint64, parts)}
+				for b := 0; b < batches; b++ {
+					tm := p.Run(parts, j)
+					if tm.Busy <= 0 || tm.Wait < 0 {
+						t.Errorf("workers=%d: timing %+v", workers, tm)
+					}
+					busy.Add(int64(tm.Busy))
+					wait.Add(int64(tm.Wait))
+				}
+			}()
+		}
+		wg.Wait()
+		wall := time.Since(start)
+		if limit := wall * time.Duration(workers); time.Duration(busy.Load()) > limit {
+			t.Errorf("workers=%d: busy %v exceeds wall %v x %d", workers, time.Duration(busy.Load()), wall, workers)
+		}
+		if tm := p.Run(0, &spinJob{}); tm != (Timing{}) {
+			t.Errorf("empty batch reported %+v", tm)
 		}
 	}
 }

@@ -156,17 +156,29 @@ func (b *Breakdown) String() string {
 // never mix: Breakdown drives the figures, HostStats drives performance
 // tracking of the reproduction itself (BENCH_codec.json, ombrun output).
 type HostStats struct {
-	// CodecWall is the total wall-clock spent inside codec worker-pool
-	// batches (compress + decompress, both algorithms).
-	CodecWall time.Duration
+	// CodecBusy is the worker time spent executing codec parts
+	// (compress + decompress, both algorithms), summed over the pool's
+	// workers. The pool runs one batch at a time, so across a world's
+	// engines it never exceeds the run's wall-clock times the pool size.
+	CodecBusy time.Duration
+	// CodecWait is the time submitters queued for the pool before their
+	// batch started. Ranks queue concurrently, so the sum over ranks can
+	// exceed the run's wall-clock; it is a measure of contention.
+	CodecWait time.Duration
 	// CodecRuns counts the batches submitted.
 	CodecRuns int
+	// DecodeMemoHits counts relay decodes served by the decode-once memo
+	// instead of the codec. It depends on which receiver decodes first,
+	// so, like the timings, it is host-only and never printed to stdout.
+	DecodeMemoHits int
 }
 
 // Add merges other into h.
 func (h *HostStats) Add(other HostStats) {
-	h.CodecWall += other.CodecWall
+	h.CodecBusy += other.CodecBusy
+	h.CodecWait += other.CodecWait
 	h.CodecRuns += other.CodecRuns
+	h.DecodeMemoHits += other.DecodeMemoHits
 }
 
 // timer is a tiny helper that charges elapsed clock time to a phase.

@@ -6,7 +6,6 @@ import (
 	"hash/crc32"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"mpicomp/internal/codecpool"
 	"mpicomp/internal/gpusim"
@@ -71,6 +70,10 @@ type Engine struct {
 	// work, independent of the virtual clock; ombrun surfaces it so perf
 	// regressions are visible from the CLI.
 	Host HostStats
+
+	// memo is the world's decode-once memo (memo.go), consulted by
+	// DecompressRelay only; nil disables it.
+	memo *DecodeMemo
 
 	// Stats accumulates the per-phase latency of all operations since
 	// the last Reset; the microbenchmarks turn it into Figures 6/8/10.
@@ -182,14 +185,28 @@ func (e *Engine) HostSnapshot() HostStats {
 func (e *Engine) CodecWorkers() int { return e.codec.Workers() }
 
 // runCodec executes a job's parts on the worker pool, accounting the
-// real elapsed wall-clock to Host. Called with e.mu held.
-//
-//simlint:wallclock HostStats measures real host codec throughput; it never feeds simulated time
+// pool's busy and queue-wait time to Host. Called with e.mu held.
 func (e *Engine) runCodec(n int, job codecpool.Job) {
-	start := time.Now()
-	e.codec.Run(n, job)
-	e.Host.CodecWall += time.Since(start)
+	t := e.codec.Run(n, job)
+	e.Host.CodecBusy += t.Busy
+	e.Host.CodecWait += t.Wait
 	e.Host.CodecRuns++
+}
+
+// runDecode is runCodec for a decompress job whose output is the
+// contiguous dst: with a memo, a payload some receiver already decoded is
+// copied from the memo instead, and a fresh successful decode is recorded
+// for the receivers after this one. errs is the job's error slice.
+// Called with e.mu held.
+func (e *Engine) runDecode(memo *DecodeMemo, hdr Header, payload, dst []byte, n int, job codecpool.Job, errs []error) {
+	if memo.load(hdr, payload, dst) {
+		e.Host.DecodeMemoHits++
+		return
+	}
+	e.runCodec(n, job)
+	if _, err := firstErr(errs); err == nil {
+		memo.store(hdr, payload, dst)
+	}
 }
 
 // NewEngine builds an engine at initialization time (MPI_Init): ModeOpt
@@ -226,6 +243,22 @@ func (e *Engine) ScheduleTag() uint32 {
 		return 0
 	}
 	return e.schedTag.Load()
+}
+
+// SetDecodeMemo attaches the decode-once memo DecompressRelay consults;
+// nil detaches it. The MPI runtime hands every rank of a world the same
+// memo, so one receiver's decode serves the others.
+func (e *Engine) SetDecodeMemo(m *DecodeMemo) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.memo = m
+}
+
+// DecodeMemo returns the attached decode-once memo (nil when none).
+func (e *Engine) DecodeMemo() *DecodeMemo {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.memo
 }
 
 // Device returns the engine's GPU.
@@ -726,6 +759,20 @@ func (e *Engine) ReleaseRecv(clk *simtime.Clock, staged *gpusim.Buffer) {
 func (e *Engine) Decompress(clk *simtime.Clock, hdr Header, payload []byte, dst *gpusim.Buffer) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	return e.decompressLocked(clk, hdr, payload, dst, nil)
+}
+
+// DecompressRelay is Decompress for a payload that a relay collective
+// fans out to many receivers. It consults the decode-once memo, which
+// replaces only the host decode: every simulated charge runs exactly as
+// in Decompress, so results and simulated time are identical either way.
+func (e *Engine) DecompressRelay(clk *simtime.Clock, hdr Header, payload []byte, dst *gpusim.Buffer) error {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.decompressLocked(clk, hdr, payload, dst, e.memo)
+}
+
+func (e *Engine) decompressLocked(clk *simtime.Clock, hdr Header, payload []byte, dst *gpusim.Buffer, memo *DecodeMemo) error {
 	if hdr.OrigBytes < 0 || hdr.CompBytes < 0 {
 		return fmt.Errorf("core: corrupt header (orig=%d comp=%d)", hdr.OrigBytes, hdr.CompBytes)
 	}
@@ -750,9 +797,9 @@ func (e *Engine) Decompress(clk *simtime.Clock, hdr Header, payload []byte, dst 
 	var err error
 	switch hdr.Algo {
 	case AlgoMPC:
-		err = e.decompressMPC(clk, hdr, payload, dst.Data[:hdr.OrigBytes], typedView{})
+		err = e.decompressMPC(clk, hdr, payload, dst.Data[:hdr.OrigBytes], typedView{}, memo)
 	case AlgoZFP:
-		err = e.decompressZFP(clk, hdr, payload, dst.Data[:hdr.OrigBytes], typedView{})
+		err = e.decompressZFP(clk, hdr, payload, dst.Data[:hdr.OrigBytes], typedView{}, memo)
 	default:
 		return fmt.Errorf("core: unknown algorithm %v in header", hdr.Algo)
 	}
@@ -767,8 +814,9 @@ func (e *Engine) Decompress(clk *simtime.Clock, hdr Header, payload []byte, dst 
 // decompressMPC restores hdr.OrigBytes packed bytes into dst: written
 // contiguously when view is zero, scattered into strided runs (starting
 // at packed offset view.base) otherwise, during the decoder's existing
-// write-back pass.
-func (e *Engine) decompressMPC(clk *simtime.Clock, hdr Header, payload []byte, dst []byte, view typedView) error {
+// write-back pass. A non-nil memo (contiguous dst only) may serve the
+// host decode (runDecode).
+func (e *Engine) decompressMPC(clk *simtime.Clock, hdr Header, payload []byte, dst []byte, view typedView, memo *DecodeMemo) error {
 	opt := e.cfg.Mode == ModeOpt
 	nWords := hdr.OrigBytes / 4
 	parts := len(hdr.PartBytes)
@@ -840,7 +888,7 @@ func (e *Engine) decompressMPC(clk *simtime.Clock, hdr Header, payload []byte, d
 		payload: payload, offs: offs, ranges: ranges, dim: hdr.Dim,
 		view: view, dst: dst, errs: e.ar.errsFor(parts),
 	}
-	e.runCodec(parts, &e.mpcD)
+	e.runDecode(memo, hdr, payload, dst, parts, &e.mpcD, e.mpcD.errs)
 	if i, err := firstErr(e.mpcD.errs); err != nil {
 		// A corrupt partition must not bleed the d_off buffer: the
 		// receive path retries after NACKs, and every retry would
@@ -864,8 +912,8 @@ func (e *Engine) decompressMPC(clk *simtime.Clock, hdr Header, payload []byte, d
 	return nil
 }
 
-// decompressZFP follows the decompressMPC dst/view contract.
-func (e *Engine) decompressZFP(clk *simtime.Clock, hdr Header, payload []byte, dst []byte, view typedView) error {
+// decompressZFP follows the decompressMPC dst/view/memo contract.
+func (e *Engine) decompressZFP(clk *simtime.Clock, hdr Header, payload []byte, dst []byte, view typedView, memo *DecodeMemo) error {
 	opt := e.cfg.Mode == ModeOpt
 	n := hdr.OrigBytes / 4
 	// Validate rate and total size up front so the parallel chunks can
@@ -900,7 +948,7 @@ func (e *Engine) decompressZFP(clk *simtime.Clock, hdr Header, payload []byte, d
 		comp: payload, dst: dst, rate: hdr.Rate,
 		nVals: n, view: view, errs: e.ar.errsFor(nChunks),
 	}
-	e.runCodec(nChunks, &e.zfpD)
+	e.runDecode(memo, hdr, payload, dst, nChunks, &e.zfpD, e.zfpD.errs)
 	if i, err := firstErr(e.zfpD.errs); err != nil {
 		return fmt.Errorf("core: zfp decompress chunk %d: %w", i, err)
 	}

@@ -222,9 +222,9 @@ func (e *Engine) DecompressTypedChunk(clk *simtime.Clock, hdr Header, payload []
 	var err error
 	switch hdr.Algo {
 	case AlgoMPC:
-		err = e.decompressMPC(clk, hdr, payload, dst.Data, view)
+		err = e.decompressMPC(clk, hdr, payload, dst.Data, view, nil)
 	case AlgoZFP:
-		err = e.decompressZFP(clk, hdr, payload, dst.Data, view)
+		err = e.decompressZFP(clk, hdr, payload, dst.Data, view, nil)
 	default:
 		return fmt.Errorf("core: unknown algorithm %v in header", hdr.Algo)
 	}

@@ -117,14 +117,34 @@ func (r *Rank) barrier() error {
 // compression-aware collectives. The engine fans the real decode work of
 // each hop across the codec worker pool (MPC partitions / ZFP chunk rows
 // run host-parallel), while the simulated kernel accounting stays on this
-// rank's goroutine.
+// rank's goroutine. Relayed payloads reach many receivers, so the decode
+// goes through the world's decode-once memo (core.DecodeMemo): the host
+// decodes each distinct payload once and later receivers copy the result,
+// while every receiver still pays its simulated decompress kernel.
 func (r *Rank) consumeRaw(raw rawResult, dst *gpusim.Buffer) error {
-	err := r.Engine.Decompress(r.Clock, raw.hdr, raw.payload, dst)
+	err := r.Engine.DecompressRelay(r.Clock, raw.hdr, raw.payload, dst)
 	// Hand the staging slot back even when the decode fails — an aborting
 	// collective must not leak pool credits.
 	r.Engine.ReleaseRecv(r.Clock, raw.staged)
 	r.dropRawStaged(raw.staged)
 	return err
+}
+
+// relayPending is a ring relay's received block awaiting its deferred
+// decode: the ring consumes step s-1's block while step s transfers.
+type relayPending struct {
+	raw rawResult
+	dst *gpusim.Buffer // nil: nothing pending
+}
+
+// consumePending decodes the pending block, if any, and clears it.
+func (r *Rank) consumePending(p *relayPending) error {
+	if p.dst == nil {
+		return nil
+	}
+	raw, dst := p.raw, p.dst
+	*p = relayPending{}
+	return r.consumeRaw(raw, dst)
 }
 
 // Bcast broadcasts root's buf to every rank using a binomial tree — the
@@ -186,6 +206,7 @@ func (r *Rank) bcast(root int, buf *gpusim.Buffer) error {
 				}
 				raw = req.raw
 				payload, hdr = raw.payload, raw.hdr
+				r.recycle(req)
 				break
 			}
 			mask <<= 1
@@ -194,7 +215,8 @@ func (r *Rank) bcast(root int, buf *gpusim.Buffer) error {
 
 	// Relay to children first (decreasing mask order), then decompress
 	// locally — the decompression kernel runs while the forwards drain.
-	var sends []*Request
+	var sendsBuf [8]*Request
+	sends := sendsBuf[:0]
 	for mask >>= 1; mask > 0; mask >>= 1 {
 		if vrank+mask < size {
 			child := v.real((vrank + mask + vroot) % size)
@@ -210,7 +232,11 @@ func (r *Rank) bcast(root int, buf *gpusim.Buffer) error {
 			return fmt.Errorf("mpi: bcast decompress: %w", err)
 		}
 	}
-	return r.Waitall(sends...)
+	if err := r.Waitall(sends...); err != nil {
+		return err
+	}
+	r.recycle(sends...)
+	return nil
 }
 
 // Allgather gathers each rank's sendBuf into every rank's recvBuf
@@ -260,11 +286,7 @@ func (r *Rank) allgather(sendBuf, recvBuf *gpusim.Buffer) error {
 		srcBlk = sendBuf
 	}
 	payload, hdr := r.Engine.CompressForLinkCached(r.Clock, srcBlk, r.world.cluster.InterNode.BandwidthGBps)
-	type pending struct {
-		raw rawResult
-		dst *gpusim.Buffer
-	}
-	var todo *pending
+	var todo relayPending
 	tag := r.collTag(baseAllgather)
 	for step := 0; step < size-1; step++ {
 		recvIdx := v.real((v.vrank - step - 1 + size) % size)
@@ -278,21 +300,18 @@ func (r *Rank) allgather(sendBuf, recvBuf *gpusim.Buffer) error {
 		}
 		// Decompress the previous step's block while this step's
 		// transfers progress.
-		if todo != nil {
-			if err := r.consumeRaw(todo.raw, todo.dst); err != nil {
-				return fmt.Errorf("mpi: allgather decompress: %w", err)
-			}
+		if err := r.consumePending(&todo); err != nil {
+			return fmt.Errorf("mpi: allgather decompress: %w", err)
 		}
 		if err := r.Waitall(sreq, rreq); err != nil {
 			return fmt.Errorf("mpi: allgather step %d: %w", step, err)
 		}
-		todo = &pending{raw: rreq.raw, dst: recvBuf.Slice(recvIdx*blk, blk)}
+		todo = relayPending{raw: rreq.raw, dst: recvBuf.Slice(recvIdx*blk, blk)}
 		payload, hdr = rreq.raw.payload, rreq.raw.hdr
+		r.recycle(sreq, rreq)
 	}
-	if todo != nil {
-		if err := r.consumeRaw(todo.raw, todo.dst); err != nil {
-			return fmt.Errorf("mpi: allgather decompress: %w", err)
-		}
+	if err := r.consumePending(&todo); err != nil {
+		return fmt.Errorf("mpi: allgather decompress: %w", err)
 	}
 	return nil
 }
@@ -1103,11 +1122,7 @@ func (r *Rank) ringAllreduceSum(sendBuf, recvBuf *gpusim.Buffer) error {
 	ownIdx := (v.vrank + 1) % size
 	own := recvBuf.Slice(offs[ownIdx], offs[ownIdx+1]-offs[ownIdx])
 	payload, hdr := r.Engine.CompressForLinkCached(r.Clock, own, r.world.cluster.InterNode.BandwidthGBps)
-	type pending struct {
-		raw rawResult
-		dst *gpusim.Buffer
-	}
-	var todo *pending
+	var todo relayPending
 	tag := r.collTag(baseAllreduce)
 	for step := 0; step < size-1; step++ {
 		recvIdx := (v.vrank - step + size) % size
@@ -1119,21 +1134,18 @@ func (r *Rank) ringAllreduceSum(sendBuf, recvBuf *gpusim.Buffer) error {
 		if err != nil {
 			return fmt.Errorf("mpi: ring allgather step %d: %w", step, err)
 		}
-		if todo != nil {
-			if err := r.consumeRaw(todo.raw, todo.dst); err != nil {
-				return fmt.Errorf("mpi: ring allgather decompress: %w", err)
-			}
+		if err := r.consumePending(&todo); err != nil {
+			return fmt.Errorf("mpi: ring allgather decompress: %w", err)
 		}
 		if err := r.Waitall(sreq, rreq); err != nil {
 			return fmt.Errorf("mpi: ring allgather step %d: %w", step, err)
 		}
-		todo = &pending{raw: rreq.raw, dst: recvBuf.Slice(offs[recvIdx], offs[recvIdx+1]-offs[recvIdx])}
+		todo = relayPending{raw: rreq.raw, dst: recvBuf.Slice(offs[recvIdx], offs[recvIdx+1]-offs[recvIdx])}
 		payload, hdr = rreq.raw.payload, rreq.raw.hdr
+		r.recycle(sreq, rreq)
 	}
-	if todo != nil {
-		if err := r.consumeRaw(todo.raw, todo.dst); err != nil {
-			return fmt.Errorf("mpi: ring allgather decompress: %w", err)
-		}
+	if err := r.consumePending(&todo); err != nil {
+		return fmt.Errorf("mpi: ring allgather decompress: %w", err)
 	}
 	return nil
 }

@@ -247,6 +247,9 @@ func NewWorld(opt Options) (*World, error) {
 		w.inj = faults.New(*opt.Faults) // nil when the config is disabled
 		w.fabric.SetFaults(w.inj)
 	}
+	// One decode-once memo serves every rank: relay collectives fan one
+	// payload out to many receivers, and only the first has to decode it.
+	memo := core.NewDecodeMemo(opt.Engine)
 	for id := 0; id < w.size; id++ {
 		dev := gpusim.NewDevice(opt.Cluster.GPU, streams)
 		// Engine construction (including ModeOpt's pool allocation) is
@@ -256,6 +259,7 @@ func NewWorld(opt Options) (*World, error) {
 		eng := core.NewEngine(initClk, dev, opt.Engine)
 		eng.Tracer = opt.Tracer
 		eng.Track = fmt.Sprintf("rank %d", id)
+		eng.SetDecodeMemo(memo)
 		r := &Rank{
 			id:      id,
 			world:   w,
@@ -444,7 +448,8 @@ func (w *World) reapInflight() {
 			}
 			r.releasePipelineStaging(env)
 		}
-		r.inflight = nil
+		clear(r.inflight)
+		r.inflight = r.inflight[:0]
 		// A raw receive completed by Wait parks its staging buffer until
 		// consumeRaw hands it back; an abort between the two leaks it.
 		for _, b := range r.rawStaged {
@@ -512,6 +517,10 @@ type Rank struct {
 	// handed back through consumeRaw.
 	inflight  []*Request
 	rawStaged []*gpusim.Buffer
+	// reqFree and postFree recycle completed requests and receive posts
+	// (p2p.go); touched only by the owning goroutine.
+	reqFree  []*Request
+	postFree []*recvPost
 	// det is the rank's failure detector (nil unless configured).
 	det *detector
 }
@@ -534,6 +543,7 @@ func (r *Rank) untrackInflight(req *Request) {
 	last := len(r.inflight) - 1
 	r.inflight[i] = r.inflight[last]
 	r.inflight[i].inf = i + 1
+	r.inflight[last] = nil // the backing array outlives runs; drop the reference
 	r.inflight = r.inflight[:last]
 	req.inf = 0
 }

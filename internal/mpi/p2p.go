@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"mpicomp/internal/core"
 	"mpicomp/internal/dtype"
@@ -92,6 +93,82 @@ type envelope struct {
 	// on the pair, so even the message whose failures tripped the breaker
 	// completes within its retry budget.
 	fb wireFallback
+
+	// owners counts the endpoints still holding a recycled envelope
+	// (newEnvelope); the last to finish cleanly returns it to envPool.
+	// Zero for envelopes built any other way, which are never recycled.
+	// Accessed atomically.
+	owners int32
+}
+
+// Message objects on the plain eager and rendezvous paths are recycled,
+// so a steady stream of collectives does not turn every message into
+// garbage: envelopes through envPool (either endpoint may finish last),
+// requests and posted receives through per-rank free lists (created and
+// retired on the owning rank's goroutine). Only objects that completed
+// cleanly are recycled; anything touched by a failure, abort or heal path
+// is left to the garbage collector, so those paths need no ownership
+// reasoning at all.
+var envPool = sync.Pool{New: func() any { return new(envelope) }}
+
+// newEnvelope returns a zeroed envelope owned by n endpoints: 1 for eager
+// messages (the sender is done at injection), 2 for rendezvous.
+func newEnvelope(n int32) *envelope {
+	env := envPool.Get().(*envelope)
+	env.owners = n
+	return env
+}
+
+// releaseEnvelope drops one endpoint's claim on env after it completed
+// cleanly; the last claim recycles it. The reply channel is kept: every
+// claimant has consumed its single outcome, so it is empty.
+func releaseEnvelope(env *envelope) {
+	if atomic.AddInt32(&env.owners, -1) != 0 {
+		return
+	}
+	*env = envelope{senderDone: env.senderDone}
+	envPool.Put(env)
+}
+
+// maxFree bounds a rank's request and receive-post free lists.
+const maxFree = 64
+
+// newRequest returns a zeroed request of this rank.
+func (r *Rank) newRequest() *Request {
+	if n := len(r.reqFree); n > 0 {
+		req := r.reqFree[n-1]
+		r.reqFree[n-1] = nil // the list must not keep a request it handed out alive
+		r.reqFree = r.reqFree[:n-1]
+		req.rank = r
+		return req
+	}
+	return &Request{rank: r}
+}
+
+// recycle returns internal requests to the free list. Callers pass only
+// requests that completed without error and whose pointers never left
+// the collective that made them.
+func (r *Rank) recycle(reqs ...*Request) {
+	for _, req := range reqs {
+		*req = Request{}
+		if len(r.reqFree) < maxFree {
+			r.reqFree = append(r.reqFree, req)
+		}
+	}
+}
+
+// newPost returns a receive post, reusing a retired one and its channel.
+func (r *Rank) newPost(src, tag int) *recvPost {
+	var p *recvPost
+	if n := len(r.postFree); n > 0 {
+		p = r.postFree[n-1]
+		r.postFree[n-1] = nil
+		r.postFree = r.postFree[:n-1]
+	} else {
+		p = &recvPost{matched: make(chan *envelope, 1), rank: r}
+	}
+	p.src, p.tag, p.postTime = src, tag, r.Clock.Now()
+	return p
 }
 
 // wireFallback rebuilds a message's uncompressed wire form at virtual
@@ -441,7 +518,9 @@ func completeMatch(p *recvPost, env *envelope) {
 	env.payload = wire
 	env.hdr = hdr
 	env.dataArrival = arrival
-	w.tracer.Add(fmt.Sprintf("net %d->%d", env.src, r.id), "transfer", ready, env.dataArrival)
+	if w.tracer != nil {
+		w.tracer.Add(fmt.Sprintf("net %d->%d", env.src, r.id), "transfer", ready, env.dataArrival)
+	}
 	env.senderDone <- sendOutcome{t: env.dataArrival}
 }
 
@@ -522,15 +601,16 @@ func (r *Rank) isend(dst, tag int, buf *gpusim.Buffer) (*Request, error) {
 		crc := r.Engine.ChecksumWire(r.Clock, payload)
 		wire, arrival, err := w.deliverPayload(faults.KindEager, r.id, dst, seq,
 			r.Node(), w.nodeOf(dst), r.Clock.Now(), payload, crc)
-		env := &envelope{
-			src: r.id, dst: dst, tag: tag, eager: true, seq: seq,
-			payload: wire, crc: crc, arrival: arrival, deliveryErr: err,
-		}
+		env := newEnvelope(1)
+		env.src, env.dst, env.tag, env.eager, env.seq = r.id, dst, tag, true, seq
+		env.payload, env.crc, env.arrival, env.deliveryErr = wire, crc, arrival, err
 		// The sender's CPU returns as soon as the message is injected;
 		// a delivery failure surfaces from Wait, as MPI semantics demand.
 		r.Clock.Advance(simtime.FromMicroseconds(0.5))
 		dstRank.box.deliver(env)
-		return &Request{rank: r, isSend: true, done: true, err: err}, nil
+		req := r.newRequest()
+		req.isSend, req.done, req.err = true, true, err
+		return req, nil
 	}
 
 	if r.pipelineEligible(dst, buf.Len()) {
@@ -585,20 +665,26 @@ func (r *Rank) isend(dst, tag int, buf *gpusim.Buffer) (*Request, error) {
 	}
 	rtsArrival, rtsErr := w.controlArrival(faults.KindRTS, r.id, dst, seq,
 		r.Node(), w.nodeOf(dst), r.Clock.Now())
-	env := &envelope{
-		src: r.id, dst: dst, tag: tag, seq: seq,
-		payload:     payload,
-		hdr:         hdr,
-		rtsArrival:  rtsArrival,
-		sendPost:    r.Clock.Now(),
-		senderDone:  make(chan sendOutcome, 1),
-		deliveryErr: rtsErr,
-		fb:          fb,
-	}
-	req := &Request{rank: r, isSend: true, env: env}
+	env := r.rendezvousEnvelope(dst, tag, seq, payload, hdr, rtsArrival, rtsErr)
+	env.fb = fb
+	req := r.newRequest()
+	req.isSend, req.env = true, env
 	r.trackInflight(req)
 	dstRank.box.deliver(env)
 	return req, nil
+}
+
+// rendezvousEnvelope builds the recycled envelope of a plain (unchunked)
+// rendezvous send posted now.
+func (r *Rank) rendezvousEnvelope(dst, tag int, seq uint64, payload []byte, hdr core.Header, rtsArrival simtime.Time, rtsErr error) *envelope {
+	env := newEnvelope(2)
+	env.src, env.dst, env.tag, env.seq = r.id, dst, tag, seq
+	env.payload, env.hdr = payload, hdr
+	env.rtsArrival, env.sendPost, env.deliveryErr = rtsArrival, r.Clock.Now(), rtsErr
+	if env.senderDone == nil {
+		env.senderDone = make(chan sendOutcome, 1)
+	}
+	return env
 }
 
 // Irecv starts a nonblocking receive into buf. The tag must be
@@ -621,8 +707,9 @@ func (r *Rank) irecv(src, tag int, buf *gpusim.Buffer) (*Request, error) {
 	if err := r.checkHealth(); err != nil {
 		return nil, err
 	}
-	p := &recvPost{src: src, tag: tag, postTime: r.Clock.Now(), matched: make(chan *envelope, 1), rank: r}
-	req := &Request{rank: r, buf: buf, post: p}
+	p := r.newPost(src, tag)
+	req := r.newRequest()
+	req.buf, req.post = buf, p
 	r.trackInflight(req)
 	req.early = r.box.post(p)
 	r.Clock.Advance(simtime.FromMicroseconds(0.3))
@@ -635,7 +722,11 @@ func (r *Rank) send(dst, tag int, buf *gpusim.Buffer) error {
 	if err != nil {
 		return err
 	}
-	return r.Wait(req)
+	if err := r.Wait(req); err != nil {
+		return err
+	}
+	r.recycle(req)
+	return nil
 }
 
 // recv is the internal-tag blocking receive.
@@ -644,7 +735,11 @@ func (r *Rank) recv(src, tag int, buf *gpusim.Buffer) error {
 	if err != nil {
 		return err
 	}
-	return r.Wait(req)
+	if err := r.Wait(req); err != nil {
+		return err
+	}
+	r.recycle(req)
+	return nil
 }
 
 // sendrecv is the internal-tag simultaneous exchange.
@@ -657,7 +752,11 @@ func (r *Rank) sendrecv(dst, sendTag int, sendBuf *gpusim.Buffer, src, recvTag i
 	if err != nil {
 		return err
 	}
-	return r.Waitall(sreq, rreq)
+	if err := r.Waitall(sreq, rreq); err != nil {
+		return err
+	}
+	r.recycle(sreq, rreq)
+	return nil
 }
 
 // Wait blocks until the request completes, advancing the caller's clock to
@@ -675,30 +774,52 @@ func (r *Rank) Wait(req *Request) error {
 	if req.isSend {
 		// Local completion: the send buffer is reusable once the
 		// transfer has drained (or the transport gave up).
-		out := <-req.env.senderDone
+		env := req.env
+		out := <-env.senderDone
 		r.Clock.AdvanceTo(out.t)
-		if req.env.pipelined {
+		if env.pipelined {
 			// Feed the degrade ladder in the sender's program order.
-			r.notePipeOutcome(req.env.dst, out.retransmits, out.err != nil)
+			r.notePipeOutcome(env.dst, out.retransmits, out.err != nil)
 		}
 		req.err = out.err
-		r.det.noteOutcome(req.env.dst, r.Clock.Now(), req.err)
+		r.det.noteOutcome(env.dst, r.Clock.Now(), req.err)
+		if out.err == nil {
+			req.env = nil
+			releaseEnvelope(env)
+		}
 		return out.err
 	}
+	src := req.post.src
 	if req.wantRaw {
 		req.err = r.waitRecvRaw(req)
 	} else {
 		req.err = r.waitRecv(req)
 	}
-	r.det.noteOutcome(req.post.src, r.Clock.Now(), req.err)
+	r.det.noteOutcome(src, r.Clock.Now(), req.err)
+	if req.err == nil {
+		// The post left the mailbox at match time and its channel is
+		// drained, so both it and (for this endpoint) the envelope are done.
+		releaseEnvelope(req.early)
+		req.early = nil
+		if len(r.postFree) < maxFree {
+			r.postFree = append(r.postFree, req.post)
+		}
+		req.post = nil
+	}
 	return req.err
 }
 
-func (r *Rank) waitRecv(req *Request) error {
-	env := req.early
-	if env == nil {
-		env = <-req.post.matched
+// matchedEnvelope returns the envelope a receive matched, waiting for it
+// if the match was not found at post time, and records it in req.early.
+func (r *Rank) matchedEnvelope(req *Request) *envelope {
+	if req.early == nil {
+		req.early = <-req.post.matched
 	}
+	return req.early
+}
+
+func (r *Rank) waitRecv(req *Request) error {
+	env := r.matchedEnvelope(req)
 	if env.eager {
 		r.Clock.AdvanceTo(env.arrival)
 		r.Clock.Advance(simtime.FromMicroseconds(0.5)) // unpack
@@ -854,16 +975,9 @@ func (r *Rank) isendPayload(dst, tag int, payload []byte, hdr core.Header) (*Req
 	}
 	rtsArrival, rtsErr := w.controlArrival(faults.KindRTS, r.id, dst, seq,
 		r.Node(), w.nodeOf(dst), r.Clock.Now())
-	env := &envelope{
-		src: r.id, dst: dst, tag: tag, seq: seq,
-		payload:     payload,
-		hdr:         hdr,
-		rtsArrival:  rtsArrival,
-		sendPost:    r.Clock.Now(),
-		senderDone:  make(chan sendOutcome, 1),
-		deliveryErr: rtsErr,
-	}
-	req := &Request{rank: r, isSend: true, env: env}
+	env := r.rendezvousEnvelope(dst, tag, seq, payload, hdr, rtsArrival, rtsErr)
+	req := r.newRequest()
+	req.isSend, req.env = true, env
 	r.trackInflight(req)
 	w.ranks[dst].box.deliver(env)
 	return req, nil
@@ -888,8 +1002,9 @@ func (r *Rank) irecvRaw(src, tag int) (*Request, error) {
 	if err := r.checkHealth(); err != nil {
 		return nil, err
 	}
-	p := &recvPost{src: src, tag: tag, postTime: r.Clock.Now(), matched: make(chan *envelope, 1), rank: r}
-	req := &Request{rank: r, post: p, wantRaw: true}
+	p := r.newPost(src, tag)
+	req := r.newRequest()
+	req.post, req.wantRaw = p, true
 	r.trackInflight(req)
 	req.early = r.box.post(p)
 	r.Clock.Advance(simtime.FromMicroseconds(0.3))
@@ -899,10 +1014,7 @@ func (r *Rank) irecvRaw(src, tag int) (*Request, error) {
 // waitRecvRaw completes a raw receive: the clock advances to payload
 // arrival and the payload is verified, but no decompression happens.
 func (r *Rank) waitRecvRaw(req *Request) error {
-	env := req.early
-	if env == nil {
-		env = <-req.post.matched
-	}
+	env := r.matchedEnvelope(req)
 	if env.eager {
 		r.Clock.AdvanceTo(env.arrival)
 		r.Clock.Advance(simtime.FromMicroseconds(0.5))

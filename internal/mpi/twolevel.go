@@ -204,11 +204,7 @@ func (r *Rank) allgatherHierarchical(sendBuf, recvBuf *gpusim.Buffer) error {
 	leftLeader := ((myNode - 1 + nodes) % nodes) * w.ppn
 	region := recvBuf.Slice(myNode*nblk, nblk)
 	payload, hdr := r.Engine.CompressForLinkCached(r.Clock, region, w.cluster.InterNode.BandwidthGBps)
-	type pending struct {
-		raw rawResult
-		dst *gpusim.Buffer
-	}
-	var todo *pending
+	var todo relayPending
 	atag := r.collTag(baseAllgather)
 	for step := 0; step < nodes-1; step++ {
 		recvNode := (myNode - step - 1 + nodes) % nodes
@@ -220,21 +216,18 @@ func (r *Rank) allgatherHierarchical(sendBuf, recvBuf *gpusim.Buffer) error {
 		if err != nil {
 			return fmt.Errorf("mpi: two-level allgather step %d: %w", step, err)
 		}
-		if todo != nil {
-			if err := r.consumeRaw(todo.raw, todo.dst); err != nil {
-				return fmt.Errorf("mpi: two-level allgather decompress: %w", err)
-			}
+		if err := r.consumePending(&todo); err != nil {
+			return fmt.Errorf("mpi: two-level allgather decompress: %w", err)
 		}
 		if err := r.Waitall(sreq, rreq); err != nil {
 			return fmt.Errorf("mpi: two-level allgather step %d: %w", step, err)
 		}
-		todo = &pending{raw: rreq.raw, dst: recvBuf.Slice(recvNode*nblk, nblk)}
+		todo = relayPending{raw: rreq.raw, dst: recvBuf.Slice(recvNode*nblk, nblk)}
 		payload, hdr = rreq.raw.payload, rreq.raw.hdr
+		r.recycle(sreq, rreq)
 	}
-	if todo != nil {
-		if err := r.consumeRaw(todo.raw, todo.dst); err != nil {
-			return fmt.Errorf("mpi: two-level allgather decompress: %w", err)
-		}
+	if err := r.consumePending(&todo); err != nil {
+		return fmt.Errorf("mpi: two-level allgather decompress: %w", err)
 	}
 
 	// Stage 3: hand the assembled vector back to the node.

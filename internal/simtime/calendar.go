@@ -86,9 +86,10 @@ func (c *Calendar) BusyUntil() Time {
 	return c.busy[len(c.busy)-1].end
 }
 
-// Reset clears all reservations.
+// Reset clears all reservations, keeping the list's capacity for the
+// next run.
 func (c *Calendar) Reset() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.busy = nil
+	c.busy = c.busy[:0]
 }
